@@ -323,8 +323,10 @@ mxm_saxpy(Matrix<T>& C, const Matrix<T>& A, const Matrix<T>& B,
     for (Index i = 0; i < nrows; ++i) {
         row_ptr[i + 1] = row_ptr[i] + rows[i].size();
     }
-    result.raw_col().resize(row_ptr[nrows]);
-    result.raw_vals().resize(row_ptr[nrows]);
+    auto& col = result.raw_col();
+    auto& vals = result.raw_vals();
+    col.resize(row_ptr[nrows]);
+    vals.resize(row_ptr[nrows]);
     rt::do_all_blocked(
         nrows,
         [&](rt::Range range) {
@@ -332,8 +334,8 @@ mxm_saxpy(Matrix<T>& C, const Matrix<T>& A, const Matrix<T>& B,
                 const Index i = static_cast<Index>(ri);
                 Nnz slot = row_ptr[i];
                 for (const auto& [j, value] : rows[i]) {
-                    result.raw_col()[slot] = j;
-                    result.raw_vals()[slot] = value;
+                    col[slot] = j;
+                    vals[slot] = value;
                     ++slot;
                 }
             }
@@ -406,8 +408,10 @@ mxm_dot(Matrix<T>& C, const Matrix<T>& A, const Matrix<T>& Bt)
     for (Index i = 0; i < nrows; ++i) {
         row_ptr[i + 1] = row_ptr[i] + counts[i];
     }
-    result.raw_col().resize(row_ptr[nrows]);
-    result.raw_vals().resize(row_ptr[nrows]);
+    auto& col = result.raw_col();
+    auto& vals = result.raw_vals();
+    col.resize(row_ptr[nrows]);
+    vals.resize(row_ptr[nrows]);
     metrics::charge_materialized(result.bytes());
 
     // Numeric pass: recompute the dots into the exact-size arrays.
@@ -445,8 +449,8 @@ mxm_dot(Matrix<T>& C, const Matrix<T>& A, const Matrix<T>& Bt)
                         }
                     }
                     if (hit) {
-                        result.raw_col()[slot] = j;
-                        result.raw_vals()[slot] = accum;
+                        col[slot] = j;
+                        vals[slot] = accum;
                         ++slot;
                         metrics::bump(metrics::kLabelWrites);
                     }
@@ -489,8 +493,10 @@ select_matrix(Matrix<T>& C, const Matrix<T>& A, Pred&& pred)
     for (Index i = 0; i < nrows; ++i) {
         row_ptr[i + 1] = row_ptr[i] + counts[i];
     }
-    result.raw_col().resize(row_ptr[nrows]);
-    result.raw_vals().resize(row_ptr[nrows]);
+    auto& col = result.raw_col();
+    auto& vals = result.raw_vals();
+    col.resize(row_ptr[nrows]);
+    vals.resize(row_ptr[nrows]);
 
     // Pass 2: fill.
     rt::do_all_blocked(
@@ -501,8 +507,8 @@ select_matrix(Matrix<T>& C, const Matrix<T>& A, Pred&& pred)
                 Nnz slot = row_ptr[i];
                 for (Nnz e = A.row_begin(i); e < A.row_end(i); ++e) {
                     if (pred(i, A.col_at(e), A.val_at(e))) {
-                        result.raw_col()[slot] = A.col_at(e);
-                        result.raw_vals()[slot] = A.val_at(e);
+                        col[slot] = A.col_at(e);
+                        vals[slot] = A.val_at(e);
                         ++slot;
                         metrics::bump(metrics::kLabelWrites);
                     }
@@ -559,8 +565,10 @@ kronecker(Matrix<T>& C, const Matrix<T>& A, const Matrix<T>& B)
                 A.row_nvals(i) * B.row_nvals(k);
         }
     }
-    result.raw_col().resize(row_ptr[nrows]);
-    result.raw_vals().resize(row_ptr[nrows]);
+    auto& col = result.raw_col();
+    auto& vals = result.raw_vals();
+    col.resize(row_ptr[nrows]);
+    vals.resize(row_ptr[nrows]);
     metrics::charge_materialized(result.bytes());
 
     rt::do_all_blocked(
@@ -575,10 +583,8 @@ kronecker(Matrix<T>& C, const Matrix<T>& A, const Matrix<T>& B)
                     const Index j = A.col_at(e);
                     const T aval = A.val_at(e);
                     for (Nnz f = B.row_begin(k); f < B.row_end(k); ++f) {
-                        result.raw_col()[slot] =
-                            j * B.ncols() + B.col_at(f);
-                        result.raw_vals()[slot] =
-                            Semiring::mul(aval, B.val_at(f));
+                        col[slot] = j * B.ncols() + B.col_at(f);
+                        vals[slot] = Semiring::mul(aval, B.val_at(f));
                         ++slot;
                         metrics::bump(metrics::kWorkItems);
                     }

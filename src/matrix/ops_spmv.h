@@ -67,8 +67,8 @@ pull_row_scan(const Matrix<T>& A, Index i, const uint8_t* upresent,
         if (use_row_simd && end - begin >= simd::kCsrSimdMinRow) {
             const Index len = static_cast<Index>(end - begin);
             accum = simd::csr_row_accumulate_avx2<Semiring>(
-                A.raw_col().data() + begin, A.raw_vals().data() + begin,
-                len, uvals, sstats);
+                A.row_indices(i).data(), A.row_values(i).data(), len,
+                uvals, sstats);
             visited += len;
             metrics::bump(metrics::kLabelReads, len);
             return true;

@@ -200,53 +200,74 @@ ewise_add(Vector<T>& w, const Vector<T>& u, const Vector<T>& v, Fn&& fn)
         return;
     }
 
-    // At least one dense operand: produce a dense result.
-    Vector<T> base = u.format() == VectorFormat::kDense ? u : v;
-    const Vector<T>& other = u.format() == VectorFormat::kDense ? v : u;
-    const bool base_is_u = u.format() == VectorFormat::kDense;
-    base.densify();
-    auto& vals = base.dense_values();
-    auto& present = base.dense_presence();
-    std::atomic<Nnz> added{0};
-    auto fold = [&](Index i, T value) {
+    // At least one dense operand: the result is dense. w takes over the
+    // dense operand's storage and the other operand is folded into it.
+    // When w already is that operand the fold runs in place (GraphBLAS
+    // lets an output alias an input; SuiteSparse's dense C += A kernels
+    // do the same), so an accumulate like ewise_add(w, w, delta) costs
+    // delta's entries, not a copy of w.
+    const bool v_dense = v.format() == VectorFormat::kDense;
+    const bool base_is_u = u.format() == VectorFormat::kDense &&
+        (&w == &u || !(v_dense && &w == &v));
+    const Vector<T>& base = base_is_u ? u : v;
+    const Vector<T>* other = base_is_u ? &v : &u;
+    // w aliasing the other operand is overwritten below, so fold from a
+    // copy of it.
+    Vector<T> other_copy;
+    if (&w == other) {
+        other_copy = *other;
+        other = &other_copy;
+    }
+    if (&w != &base) {
+        w = Vector<T>(base);
+    }
+    auto& vals = w.dense_values();
+    auto& present = w.dense_presence();
+    // Folds one entry of the other operand into w; returns 1 when the
+    // entry lands on a new position.
+    auto fold = [&](Index i, T value) -> Nnz {
         metrics::bump(metrics::kWorkItems);
         metrics::bump(metrics::kLabelWrites);
         if (present[i] != 0) {
             // Preserve argument order: fn(u value, v value).
             vals[i] = base_is_u ? fn(vals[i], value) : fn(value, vals[i]);
-        } else {
-            present[i] = 1;
-            vals[i] = value;
-            added.fetch_add(1, std::memory_order_relaxed);
+            return 0;
         }
+        present[i] = 1;
+        vals[i] = value;
+        return 1;
     };
-    if (other.format() == VectorFormat::kDense) {
-        const auto& ovals = other.dense_values();
-        const auto& opresent = other.dense_presence();
+    std::atomic<Nnz> added{0};
+    if (other->format() == VectorFormat::kDense) {
+        const auto& ovals = other->dense_values();
+        const auto& opresent = other->dense_presence();
         rt::do_all_blocked(
-            base.size(),
+            w.size(),
             [&](rt::Range range) {
+                Nnz local_added = 0;
                 for (std::size_t i = range.begin; i < range.end; ++i) {
                     if (opresent[i] != 0) {
-                        fold(static_cast<Index>(i), ovals[i]);
+                        local_added += fold(static_cast<Index>(i), ovals[i]);
                     }
                 }
+                added.fetch_add(local_added, std::memory_order_relaxed);
             },
             backend_schedule());
     } else {
-        const auto& oidx = other.sparse_indices();
-        const auto& ovals = other.sparse_values();
+        const auto& oidx = other->sparse_indices();
+        const auto& ovals = other->sparse_values();
         rt::do_all_blocked(
             oidx.size(),
             [&](rt::Range range) {
+                Nnz local_added = 0;
                 for (std::size_t k = range.begin; k < range.end; ++k) {
-                    fold(oidx[k], ovals[k]);
+                    local_added += fold(oidx[k], ovals[k]);
                 }
+                added.fetch_add(local_added, std::memory_order_relaxed);
             },
             backend_schedule());
     }
-    base.set_dense_nvals(base.nvals() + added.load());
-    w = std::move(base);
+    w.set_dense_nvals(w.nvals() + added.load());
 }
 
 /**
@@ -525,19 +546,88 @@ select_entries(Vector<T>& w, const Vector<T>& u, Pred&& pred)
     w = std::move(result);
 }
 
-/// Structural and value equality of two vectors (same explicit entries
-/// with equal values).
+/**
+ * Structural and value equality of two vectors (same explicit entries
+ * with equal values). Neither vector may hold an index twice.
+ *
+ * With equal nvals, "every entry of one vector is in the other with an
+ * equal value" is equality, so one parallel pass walks one side and
+ * probes the other: by presence when the probed side is dense, by
+ * binary search when it is sparse. Nothing is materialized unless both
+ * sides are unsorted sparse, in which case the probed side is sorted in
+ * a copy.
+ */
 template <typename T>
 bool
 vectors_equal(const Vector<T>& u, const Vector<T>& v)
 {
+    trace::Span span(trace::Category::kGrb, "vectors_equal", u.nvals());
     metrics::bump(metrics::kPasses);
     if (u.size() != v.size() || u.nvals() != v.nvals()) {
         return false;
     }
     metrics::bump(metrics::kWorkItems, u.nvals() * 2);
     metrics::bump(metrics::kLabelReads, u.nvals() * 2);
-    return u.extract_tuples() == v.extract_tuples();
+
+    // Probe the dense side, else a sorted one, else a sorted copy.
+    const Vector<T>* walk = &u;
+    const Vector<T>* probe = &v;
+    if (u.format() == VectorFormat::kDense ||
+        (v.format() == VectorFormat::kSparse && !v.sorted())) {
+        std::swap(walk, probe);
+    }
+    Vector<T> sorted_probe;
+    if (!probe->sorted()) {
+        sorted_probe = *probe;
+        sorted_probe.sort_entries();
+        probe = &sorted_probe;
+    }
+    const bool probe_dense = probe->format() == VectorFormat::kDense;
+    const auto& pvals = probe_dense ? probe->dense_values()
+                                    : probe->sparse_values();
+    const auto& ppresent = probe->dense_presence();
+    const auto& pidx = probe->sparse_indices();
+    auto found = [&](Index i, T value) {
+        if (probe_dense) {
+            return ppresent[i] != 0 && pvals[i] == value;
+        }
+        const auto it = std::lower_bound(pidx.begin(), pidx.end(), i);
+        return it != pidx.end() && *it == i &&
+            pvals[static_cast<std::size_t>(it - pidx.begin())] == value;
+    };
+
+    // Blocks poll the flag every kPoll positions, so a difference stops
+    // the pass within one poll interval per worker.
+    constexpr std::size_t kPoll = 1024;
+    std::atomic<bool> differ{false};
+    const bool walk_dense = walk->format() == VectorFormat::kDense;
+    const auto& wvals = walk_dense ? walk->dense_values()
+                                   : walk->sparse_values();
+    const auto& wpresent = walk->dense_presence();
+    const auto& widx = walk->sparse_indices();
+    rt::do_all_blocked(
+        walk_dense ? walk->size() : widx.size(),
+        [&](rt::Range range) {
+            for (std::size_t at = range.begin; at < range.end;
+                 at += kPoll) {
+                if (differ.load(std::memory_order_relaxed)) {
+                    return;
+                }
+                const std::size_t end = std::min(range.end, at + kPoll);
+                for (std::size_t k = at; k < end; ++k) {
+                    const bool same = walk_dense
+                        ? wpresent[k] == 0 ||
+                            found(static_cast<Index>(k), wvals[k])
+                        : found(widx[k], wvals[k]);
+                    if (!same) {
+                        differ.store(true, std::memory_order_relaxed);
+                        return;
+                    }
+                }
+            }
+        },
+        backend_schedule());
+    return !differ.load();
 }
 
 } // namespace gas::grb

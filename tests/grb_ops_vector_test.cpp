@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "matrix/grb.h"
+#include "metrics/counters.h"
 #include "runtime/thread_pool.h"
 #include "support/random.h"
 
@@ -267,15 +272,205 @@ TEST_P(GrbOpsVectorTest, SelectEntries)
     }
 }
 
+/// The counters an aliased call must bump exactly like a fresh one.
+constexpr metrics::CounterId kOpCounters[] = {
+    metrics::kPasses, metrics::kWorkItems, metrics::kLabelReads,
+    metrics::kLabelWrites, metrics::kBytesMaterialized};
+
+/// Bit-identical: same format, dimension, entries and op counters.
+void
+expect_identical(const Vector<int64_t>& got, const metrics::Snapshot& got_c,
+                 const Vector<int64_t>& want,
+                 const metrics::Snapshot& want_c, const std::string& what)
+{
+    EXPECT_EQ(got.format(), want.format()) << what;
+    EXPECT_EQ(got.size(), want.size()) << what;
+    EXPECT_EQ(got.nvals(), want.nvals()) << what;
+    EXPECT_EQ(got.extract_tuples(), want.extract_tuples()) << what;
+    for (const auto id : kOpCounters) {
+        EXPECT_EQ(got_c[id], want_c[id])
+            << what << " counter " << metrics::counter_name(id);
+    }
+}
+
+/// Non-commutative, so a swapped argument order shows up.
+int64_t
+sub_twice(int64_t a, int64_t b)
+{
+    return a - 2 * b;
+}
+
+/// ewise_add(out, u, v) on private copies: the non-aliased reference.
+Vector<int64_t>
+fresh_add(const Vector<int64_t>& u, const Vector<int64_t>& v,
+          metrics::Snapshot& counters)
+{
+    const Vector<int64_t> uc = u;
+    const Vector<int64_t> vc = v;
+    Vector<int64_t> out;
+    const metrics::Interval interval;
+    ewise_add(out, uc, vc, sub_twice);
+    counters = interval.delta();
+    return out;
+}
+
+TEST_P(GrbOpsVectorTest, EwiseAddOutputAliasingAnInputMatchesFreshOutput)
+{
+    for (const bool u_dense : {false, true}) {
+        for (const bool v_dense : {false, true}) {
+            const auto u = random_vector(300, 0.3, 41, u_dense);
+            const auto v = random_vector(300, 0.3, 42, v_dense);
+            const std::string what = "u_dense=" + std::to_string(u_dense) +
+                " v_dense=" + std::to_string(v_dense);
+            metrics::Snapshot want_c;
+            const auto want = fresh_add(u, v, want_c);
+
+            // w aliases u (the sparse operand when only v is dense).
+            Vector<int64_t> w = u;
+            const int64_t* before = w.dense_values().data();
+            metrics::Interval interval;
+            ewise_add(w, w, v, sub_twice);
+            expect_identical(w, interval.delta(), want, want_c,
+                             "w=u " + what);
+            if (u_dense) {
+                // The dense operand was folded into, not copied.
+                EXPECT_EQ(w.dense_values().data(), before) << what;
+            }
+
+            // w aliases v: argument order must stay fn(u, v).
+            w = v;
+            before = w.dense_values().data();
+            interval = metrics::Interval();
+            ewise_add(w, u, w, sub_twice);
+            expect_identical(w, interval.delta(), want, want_c,
+                             "w=v " + what);
+            if (v_dense) {
+                EXPECT_EQ(w.dense_values().data(), before) << what;
+            }
+        }
+    }
+}
+
+TEST_P(GrbOpsVectorTest, EwiseAddAllThreeAliasedMatchesFreshOutput)
+{
+    for (const bool dense : {false, true}) {
+        const auto u = random_vector(300, 0.3, 43, dense);
+        metrics::Snapshot want_c;
+        const auto want = fresh_add(u, u, want_c);
+        Vector<int64_t> w = u;
+        const int64_t* before = w.dense_values().data();
+        const metrics::Interval interval;
+        ewise_add(w, w, w, sub_twice);
+        expect_identical(w, interval.delta(), want, want_c,
+                         "dense=" + std::to_string(dense));
+        if (dense) {
+            EXPECT_EQ(w.dense_values().data(), before);
+        }
+    }
+}
+
+TEST_P(GrbOpsVectorTest, EwiseAddInPlaceCountsNewPositions)
+{
+    // Dense w with entries at even positions; the delta adds odd ones
+    // and overlaps some even ones.
+    Vector<int64_t> w(1000);
+    for (Index i = 0; i < 1000; i += 2) {
+        w.set_element(i, 5);
+    }
+    w.densify();
+    Vector<int64_t> delta(1000);
+    Nnz fresh = 0;
+    for (Index i = 0; i < 1000; i += 3) {
+        delta.set_element(i, 1);
+        fresh += i % 2;
+    }
+    const int64_t* before = w.dense_values().data();
+    ewise_add(w, w, delta, [](int64_t a, int64_t b) { return a + b; });
+    EXPECT_EQ(w.dense_values().data(), before);
+    EXPECT_EQ(w.nvals(), 500 + fresh);
+    Nnz explicit_entries = 0;
+    w.for_entries([&](Index i, int64_t x) {
+        ++explicit_entries;
+        const int64_t want = (i % 2 == 0 ? 5 : 0) + (i % 3 == 0 ? 1 : 0);
+        EXPECT_EQ(x, want) << i;
+    });
+    EXPECT_EQ(explicit_entries, w.nvals());
+}
+
+/// The same entries in sorted order, then reversed (unsorted storage).
+Vector<int64_t>
+unsorted_copy(const Vector<int64_t>& v)
+{
+    auto tuples = v.extract_tuples();
+    std::reverse(tuples.begin(), tuples.end());
+    TrackedVector<Index> idx;
+    TrackedVector<int64_t> vals;
+    for (const auto& [i, x] : tuples) {
+        idx.push_back(i);
+        vals.push_back(x);
+    }
+    Vector<int64_t> out(v.size());
+    out.build(std::move(idx), std::move(vals), /*indices_sorted=*/false);
+    return out;
+}
+
 TEST_P(GrbOpsVectorTest, VectorsEqual)
 {
-    auto u = random_vector(64, 0.4, 71, false);
-    Vector<int64_t> v = u;
-    EXPECT_TRUE(vectors_equal(u, v));
-    v.densify();
-    EXPECT_TRUE(vectors_equal(u, v)); // format-independent
-    v.set_element(0, 12345);
-    EXPECT_FALSE(vectors_equal(u, v));
+    // Large enough that the parallel pass splits into several blocks.
+    const Index n = 20000;
+    const auto base = random_vector(n, 0.5, 72, true);
+    Vector<int64_t> sparse = base;
+    sparse.sparsify();
+    const std::vector<std::pair<std::string, Vector<int64_t>>> layouts = {
+        {"dense", base},
+        {"sparse", sparse},
+        {"unsorted", unsorted_copy(base)},
+    };
+    Index last = 0;
+    base.for_entries([&](Index i, int64_t) { last = i; });
+
+    for (const auto& [uname, u] : layouts) {
+        for (const auto& [vname, v] : layouts) {
+            const std::string what = uname + "/" + vname;
+            const metrics::Interval interval;
+            EXPECT_TRUE(vectors_equal(u, v)) << what;
+            const auto c = interval.delta();
+            EXPECT_EQ(c[metrics::kPasses], 1u) << what;
+            EXPECT_EQ(c[metrics::kWorkItems], 2 * base.nvals()) << what;
+            EXPECT_EQ(c[metrics::kLabelReads], 2 * base.nvals()) << what;
+            EXPECT_EQ(c[metrics::kBytesMaterialized], 0u) << what;
+
+            // A value that differs only at the last explicit index.
+            Vector<int64_t> changed = v;
+            changed.set_element(last, *v.get_element(last) + 1);
+            EXPECT_FALSE(vectors_equal(u, changed)) << what;
+            EXPECT_FALSE(vectors_equal(changed, u)) << what;
+
+            // Equal nvals, but one entry moved to an implicit position.
+            Index hole = 0;
+            while (v.get_element(hole).has_value()) {
+                ++hole;
+            }
+            auto tuples = v.extract_tuples();
+            tuples.front().first = hole;
+            std::sort(tuples.begin(), tuples.end());
+            Vector<int64_t> moved(n);
+            for (const auto& [i, x] : tuples) {
+                moved.set_element(i, x);
+            }
+            if (vname == "dense") {
+                moved.densify();
+            }
+            ASSERT_EQ(moved.nvals(), v.nvals()) << what;
+            EXPECT_FALSE(vectors_equal(u, moved)) << what;
+            EXPECT_FALSE(vectors_equal(moved, u)) << what;
+
+            // One entry more.
+            Vector<int64_t> grown = v;
+            grown.set_element(hole, 1);
+            EXPECT_FALSE(vectors_equal(u, grown)) << what;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, GrbOpsVectorTest,

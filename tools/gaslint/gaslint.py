@@ -32,6 +32,13 @@ finding's line or the line above):
                             writers race. Use atomics, per-range
                             locals folded after the loop, or indexed
                             writes to disjoint slots.
+  gas-raw-accessor-in-parallel
+                            raw_col() / raw_vals() / raw_row_ptr()
+                            called inside a parallel loop lambda. The
+                            non-const Matrix accessors drop the
+                            matrix's derived storage, so workers
+                            calling them race on it; take the
+                            reference once before the loop.
   gas-std-function-in-kernel
                             std::function (or <functional>) in
                             src/matrix/ hot kernels; type-erased calls
@@ -434,7 +441,8 @@ def check_missing_cancel_poll(path, lexed, ctx, findings):
 # gas-ref-capture-in-parallel
 # ---------------------------------------------------------------------------
 
-PARALLEL_FNS = {"do_all", "do_all_blocked", "for_each", "on_each"}
+PARALLEL_FNS = {"do_all", "do_all_blocked", "do_all_items", "for_each",
+                "for_each_ordered", "on_each"}
 DECL_INTRODUCERS = {"auto", ">", "&", "*", "::"}
 
 # Writes through the runtime's reducers (runtime/reducers.h) are
@@ -574,9 +582,9 @@ def scan_lambda_writes(path, tokens, body_begin, body_end, default_ref,
             report(base, "assigned")
 
 
-def check_ref_capture_in_parallel(path, lexed, ctx, findings):
-    tokens = lexed.tokens
-    reducers = reducer_declared_ids(tokens)
+def parallel_lambdas(tokens):
+    """Yield (capture_open, param_ids, body_open, body_close) for every
+    lambda passed directly as an argument to a PARALLEL_FNS call."""
     for i, tok in enumerate(tokens):
         if tok.kind != "id" or tok.text not in PARALLEL_FNS:
             continue
@@ -587,26 +595,64 @@ def check_ref_capture_in_parallel(path, lexed, ctx, findings):
         while k < call_close:
             if (tokens[k].text == "["
                     and tokens[k - 1].text in ("(", ",")):
-                default_ref, ref_ids, _, cap_close = \
-                    parse_capture_list(tokens, k)
+                cap_close = match_bracket(tokens, k)
                 # Parameter list (optional) then body.
                 p = cap_close + 1
-                exempt = set(reducers)
+                params = set()
                 if p < call_close and tokens[p].text == "(":
                     param_close = match_bracket(tokens, p)
-                    exempt |= {t.text for t in tokens[p:param_close]
-                               if t.kind == "id"}
+                    params = {t.text for t in tokens[p:param_close]
+                              if t.kind == "id"}
                     p = param_close + 1
                 while p < call_close and tokens[p].text != "{":
                     p += 1  # skip mutable / -> ret
                 if p < call_close:
                     body_close = match_bracket(tokens, p)
-                    if default_ref or ref_ids:
-                        scan_lambda_writes(path, tokens, p, body_close,
-                                           default_ref, ref_ids, exempt,
-                                           findings)
+                    yield k, params, p, body_close
                     k = body_close
             k += 1
+
+
+def check_ref_capture_in_parallel(path, lexed, ctx, findings):
+    tokens = lexed.tokens
+    reducers = reducer_declared_ids(tokens)
+    for cap_open, params, body_open, body_close in parallel_lambdas(tokens):
+        default_ref, ref_ids, _, _ = parse_capture_list(tokens, cap_open)
+        if default_ref or ref_ids:
+            scan_lambda_writes(path, tokens, body_open, body_close,
+                               default_ref, ref_ids, set(reducers) | params,
+                               findings)
+
+
+# ---------------------------------------------------------------------------
+# gas-raw-accessor-in-parallel
+# ---------------------------------------------------------------------------
+
+RAW_ACCESSORS = {"raw_col", "raw_vals", "raw_row_ptr"}
+
+
+def check_raw_accessor_in_parallel(path, lexed, ctx, findings):
+    """Matrix::raw_col()/raw_vals()/raw_row_ptr() inside a parallel
+    lambda. The non-const overloads call invalidate_storage(), a write
+    to the shared matrix from every worker. Heuristic limit: tokens do
+    not carry types, so the harmless const overloads are flagged too;
+    the const row views (row_indices/row_values) serve workers instead.
+    """
+    tokens = lexed.tokens
+    flagged = set()  # nested parallel lambdas share tokens
+    for _, _, body_open, body_close in parallel_lambdas(tokens):
+        for k in range(body_open + 1, body_close - 2):
+            t = tokens[k]
+            if (t.kind == "id" and t.text in RAW_ACCESSORS
+                    and tokens[k + 1].text == "("
+                    and tokens[k + 2].text == ")" and k not in flagged):
+                flagged.add(k)
+                findings.append(Finding(
+                    "gas-raw-accessor-in-parallel", path, t.line,
+                    f"{t.text}() inside a parallel loop body; the "
+                    "non-const Matrix accessor drops derived storage on "
+                    "every call, so workers race on the shared matrix. "
+                    "Take the reference once before the loop"))
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +760,7 @@ CHECKS = {
     "gas-discarded-status": check_discarded_status,
     "gas-missing-cancel-poll": check_missing_cancel_poll,
     "gas-ref-capture-in-parallel": check_ref_capture_in_parallel,
+    "gas-raw-accessor-in-parallel": check_raw_accessor_in_parallel,
     "gas-std-function-in-kernel": check_std_function_in_kernel,
     "gas-unregistered-metric": check_unregistered_metric,
 }

@@ -23,6 +23,7 @@ CASES = {
     "discarded_status": "gas-discarded-status",
     "missing_cancel_poll": "gas-missing-cancel-poll",
     "ref_capture": "gas-ref-capture-in-parallel",
+    "raw_accessor": "gas-raw-accessor-in-parallel",
     "std_function_kernel": "gas-std-function-in-kernel",
     "unregistered_metric": "gas-unregistered-metric",
     # Suppression comments must silence an otherwise-positive file.
