@@ -14,7 +14,8 @@
  *
  *  - random yields / bounded spins at push, pop, and steal boundaries
  *    (and at InsertBag::push / Reducer::update), widening the windows
- *    in which operators overlap;
+ *    in which operators overlap, and between a pool thread's last spin
+ *    poll and its park, widening the lost-wake-up window;
  *  - shuffled victim order in for_each's steal sweep, so work migrates
  *    along different thread pairs each attempt;
  *  - forced steal failures (a thief skips a loaded victim, or an OBIM
@@ -46,6 +47,7 @@ enum class Site : uint8_t {
     kObimCursor, ///< ObimWorklist::pop_batch, before the cursor update
     kBagPush,    ///< InsertBag::push
     kReduce,     ///< Reducer::update
+    kPoolPark,   ///< ThreadPool, between the last spin poll and parking
 };
 
 #if defined(GAS_CHECK_ENABLED)

@@ -33,6 +33,9 @@ using graph::Node;
  * the fold pass of the *previous* region wrote, and regions are
  * separated by the pool barrier, so the checker's epoch fence keeps
  * this clean. Within a region every write targets the owner's index.
+ * The pulled mass goes to an array of its own even in the AoS layout:
+ * the pull pass writes it for v while other threads read v's
+ * (coeff, delta), and the checker tracks whole elements.
  */
 
 std::vector<double>
@@ -47,13 +50,13 @@ pagerank(const Graph& graph, const Graph& transpose, double damping,
 
     struct PrNode
     {
-        double coeff;      ///< damping / out-degree (0 for sinks)
-        double delta;      ///< previous round's rank change
-        double next_delta; ///< this round's pulled mass
+        double coeff; ///< damping / out-degree (0 for sinks)
+        double delta; ///< previous round's rank change
         double rank;
     };
     graph::NodeData<PrNode> data(n, "pr:nodes");
-    metrics::charge_materialized(n * sizeof(PrNode));
+    graph::NodeData<double> next_delta(n, "pr:next_delta");
+    metrics::charge_materialized(n * (sizeof(PrNode) + sizeof(double)));
 
     {
         check::RegionLabel label("pr:init");
@@ -64,8 +67,8 @@ pagerank(const Graph& graph, const Graph& transpose, double damping,
             node.coeff =
                 degree == 0 ? 0.0 : damping / static_cast<double>(degree);
             node.delta = 1.0 / n;
-            node.next_delta = 0.0;
             node.rank = 1.0 / n;
+            next_delta.set(v, 0.0);
             metrics::bump(metrics::kLabelWrites);
         });
     }
@@ -90,7 +93,7 @@ pagerank(const Graph& graph, const Graph& transpose, double damping,
                 const PrNode& u = data.at(transpose.edge_dst(e));
                 pulled += u.coeff * u.delta;
             }
-            data.mut(v).next_delta = pulled;
+            next_delta.set(v, pulled);
             metrics::bump(metrics::kLabelWrites);
         });
 
@@ -101,14 +104,15 @@ pagerank(const Graph& graph, const Graph& transpose, double damping,
         rt::do_all(n, [&](std::size_t v) {
             metrics::bump(metrics::kWorkItems);
             PrNode& node = data.mut(v);
+            const double pulled = next_delta.at(v);
             if (first) {
-                node.rank = base + node.next_delta;
+                node.rank = base + pulled;
                 node.delta = node.rank - 1.0 / n;
             } else {
-                node.rank += node.next_delta;
-                node.delta = node.next_delta;
+                node.rank += pulled;
+                node.delta = pulled;
             }
-            node.next_delta = 0.0;
+            next_delta.set(v, 0.0);
             metrics::bump(metrics::kLabelWrites);
         });
     }

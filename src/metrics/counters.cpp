@@ -153,7 +153,13 @@ Snapshot::to_string() const
 void
 bump(CounterId id, uint64_t amount)
 {
-    local_block().values[id] += amount;
+    // Only the owning thread writes its block, but read() sums live
+    // blocks while their owners run (the stats sampler does), so the
+    // slot is accessed atomically. A relaxed load and store is still a
+    // plain add: no locked instruction.
+    std::atomic_ref<uint64_t> slot(local_block().values[id]);
+    slot.store(slot.load(std::memory_order_relaxed) + amount,
+               std::memory_order_relaxed);
 }
 
 const std::array<uint64_t, kNumCounters>&
@@ -229,9 +235,10 @@ read()
     gas::LockGuard guard(registry.lock);
     Snapshot total;
     total.values = registry.retired;
-    for (const ThreadBlock* block : registry.blocks) {
+    for (ThreadBlock* block : registry.blocks) {
         for (unsigned i = 0; i < kNumCounters; ++i) {
-            total.values[i] += block->values[i];
+            total.values[i] += std::atomic_ref<uint64_t>(block->values[i])
+                                   .load(std::memory_order_relaxed);
         }
     }
     return total;
@@ -244,7 +251,10 @@ reset()
     gas::LockGuard guard(registry.lock);
     registry.retired.fill(0);
     for (ThreadBlock* block : registry.blocks) {
-        block->values.fill(0);
+        for (uint64_t& value : block->values) {
+            std::atomic_ref<uint64_t>(value).store(
+                0, std::memory_order_relaxed);
+        }
     }
 }
 

@@ -220,7 +220,9 @@ charge_materialized(uint64_t bytes)
 /// it at span boundaries to attribute counter deltas to phases.
 const std::array<uint64_t, kNumCounters>& local_values();
 
-/// Aggregate all threads' counters (including exited threads).
+/// Aggregate all threads' counters (including exited threads). Safe
+/// while other threads bump (the stats sampler calls it mid-run); a
+/// concurrent read sees each counter at some recent value.
 Snapshot read();
 
 /// Zero every thread's counters. Must not race with worker activity.

@@ -2,14 +2,17 @@
  * @file
  * Stress and interaction tests for the runtime: heavy for_each churn,
  * OBIM under priority inversion, nested constructs, repeated pool
- * resizing, and reducer reuse across regions.
+ * resizing, reducer reuse across regions, and the pool's spin-then-park
+ * fork-join handshake on both its spin and its park path.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 
 #include "runtime/chase_lev.h"
@@ -454,6 +457,153 @@ TEST(RuntimeStress, ReducersAcrossManyRegions)
     }
     EXPECT_EQ(max_val.reduce(), 100 * 64 - 1);
 }
+
+
+// ---------------------------------------------------------------------------
+// Fork-join handshake (ThreadPool::run). At 1, 2 and 4 threads the pool
+// fits the hardware of the reference machine and idle threads spin; at 8
+// it is oversubscribed and every wait parks, so each test covers both
+// protocols somewhere in its instantiations.
+
+class PoolForkJoin : public ::testing::TestWithParam<unsigned>
+{
+  protected:
+    void SetUp() override { set_num_threads(GetParam()); }
+    void TearDown() override { set_num_threads(4); }
+};
+
+/// Sleep long enough that every idle pool thread has left its spin
+/// window and parked.
+void
+sleep_past_spin_window()
+{
+    std::this_thread::sleep_for(
+        std::chrono::nanoseconds(3 * ThreadPool::kSpinWindowNs));
+}
+
+/// Run one region of @p threads threads in which each thread bumps its
+/// own plain (non-atomic) slot of @p runs and stamps @p region into
+/// @p stamps, and check that every thread ran exactly once and that the
+/// caller sees every stamp once run() returns: the region-exit
+/// handshake alone must order those plain writes (TSan checks it). The
+/// last thread sleeps @p straggle first, to make the caller wait.
+::testing::AssertionResult
+run_stamped_region(unsigned threads, uint64_t region,
+                   std::vector<uint64_t>& runs,
+                   std::vector<uint64_t>& stamps,
+                   std::chrono::nanoseconds straggle = {})
+{
+    unsigned seen_total = 0;
+    ThreadPool::get().run([&](unsigned tid, unsigned total) {
+        if (tid == total - 1 && straggle.count() > 0) {
+            std::this_thread::sleep_for(straggle);
+        }
+        if (tid == 0) {
+            seen_total = total;
+        }
+        ++runs[tid];
+        stamps[tid] = region;
+    });
+    if (seen_total != threads) {
+        return ::testing::AssertionFailure()
+            << "region " << region << " ran with " << seen_total
+            << " threads, expected " << threads;
+    }
+    for (unsigned t = 0; t < threads; ++t) {
+        if (stamps[t] != region || runs[t] != region) {
+            return ::testing::AssertionFailure()
+                << "region " << region << ": thread " << t << " stamp "
+                << stamps[t] << ", runs " << runs[t];
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST_P(PoolForkJoin, BackToBackEmptyRegionsRunEveryThreadOnce)
+{
+    const unsigned threads = GetParam();
+    std::vector<uint64_t> runs(threads, 0);
+    std::vector<uint64_t> stamps(threads, 0);
+    for (uint64_t region = 1; region <= 100'000; ++region) {
+        ASSERT_TRUE(run_stamped_region(threads, region, runs, stamps));
+    }
+}
+
+TEST_P(PoolForkJoin, RegionsAfterParkingWakeEveryThread)
+{
+    // Workers park between these regions; every odd region the last
+    // thread straggles past the window too, so the caller parks and
+    // must be woken by that worker.
+    const unsigned threads = GetParam();
+    std::vector<uint64_t> runs(threads, 0);
+    std::vector<uint64_t> stamps(threads, 0);
+    for (uint64_t region = 1; region <= 40; ++region) {
+        sleep_past_spin_window();
+        const auto straggle = region % 2 == 1
+            ? std::chrono::nanoseconds(3 * ThreadPool::kSpinWindowNs)
+            : std::chrono::nanoseconds(0);
+        ASSERT_TRUE(
+            run_stamped_region(threads, region, runs, stamps, straggle));
+    }
+}
+
+TEST_P(PoolForkJoin, ExceptionsAreRethrownOnceOnSpinAndParkPaths)
+{
+    const unsigned threads = GetParam();
+    ThreadPool& pool = ThreadPool::get();
+    std::vector<uint64_t> runs(threads, 0);
+    std::vector<uint64_t> stamps(threads, 0);
+    uint64_t region = 0;
+    // Thrower: the last thread (a worker when threads > 1), the caller,
+    // or every thread at once; only one exception may come back.
+    constexpr unsigned kEveryThread = ~0u;
+    for (const bool park : {false, true}) {
+        for (const unsigned thrower : {threads - 1, 0u, kEveryThread}) {
+            if (park) {
+                sleep_past_spin_window();
+            }
+            unsigned caught = 0;
+            try {
+                pool.run([&](unsigned tid, unsigned) {
+                    if (thrower == kEveryThread || tid == thrower) {
+                        throw std::runtime_error("boom");
+                    }
+                });
+            } catch (const std::runtime_error&) {
+                ++caught;
+            }
+            EXPECT_EQ(caught, 1u) << "park=" << park << " thrower=" << thrower;
+            // No stale exception, and every thread still answers.
+            ++region;
+            ASSERT_TRUE(run_stamped_region(threads, region, runs, stamps))
+                << "park=" << park << " thrower=" << thrower;
+        }
+    }
+}
+
+TEST_P(PoolForkJoin, ResizingBetweenRegionsLosesNoWorker)
+{
+    for (const unsigned size : {4u, 2u, 8u, 1u, 4u}) {
+        set_num_threads(size);
+        ASSERT_EQ(num_threads(), size);
+        std::vector<uint64_t> runs(size, 0);
+        std::vector<uint64_t> stamps(size, 0);
+        for (uint64_t region = 1; region <= 200; ++region) {
+            if (region % 50 == 0) {
+                sleep_past_spin_window();
+            }
+            ASSERT_TRUE(run_stamped_region(size, region, runs, stamps))
+                << "after resizing to " << size;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, PoolForkJoin,
+                         ::testing::Values(1u, 2u, 4u, 8u),
+                         [](const auto& info) {
+                             return "Threads" +
+                                 std::to_string(info.param);
+                         });
 
 } // namespace
 } // namespace gas::rt
