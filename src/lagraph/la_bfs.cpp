@@ -10,11 +10,24 @@ using grb::Descriptor;
 using grb::Index;
 using grb::Vector;
 
+namespace {
+
+/*
+ * Algorithm 2, written once against the grb::lazy recorders. In
+ * blocking mode every recorder runs the eager op, so a round is the
+ * paper's vxm + assign + nvals triple. When the caller selects
+ * non-blocking mode the planner sees the spmv + assign chain and runs
+ * the round as one fused kernel (dispatch_spmv_fused with the assign
+ * as its per-entry hook), recycling the frontier's storage round over
+ * round: the restructuring-compiler loop fusion of the paper's
+ * Section VI, from unfused source.
+ */
 Vector<uint32_t>
-bfs(const grb::Matrix<uint8_t>& A, Index source)
+bfs_rounds(grb::SpmvDispatcher<uint8_t>& spmv, Index source,
+           grb::Direction force)
 {
     trace::Span algo(trace::Category::kAlgo, "la_bfs");
-    const Index n = A.nrows();
+    const Index n = spmv.matrix().nrows();
 
     // dist is dense: GrB_assign with GrB_ALL sets every entry to 0
     // ("unvisited"), then the source gets level 1.
@@ -23,14 +36,13 @@ bfs(const grb::Matrix<uint8_t>& A, Index source)
                                           0u);
     dist.set_element(source, 1);
 
-    Vector<uint8_t> frontier(n);
-    frontier.set_element(source, 1);
+    Descriptor desc = grb::kComplementReplaceDesc;
+    desc.direction = force;
 
-    // Push-only dispatcher (no transpose registered): every round
-    // resolves to vxm, so this stays the paper's pure-push baseline
-    // while exercising the same dispatch_spmv entry point the
-    // direction-optimizing variants use.
-    grb::SpmvDispatcher<uint8_t> spmv(A);
+    // Declared after everything its pending nodes reference (dist,
+    // spmv): handle destruction is a flush point and must run first.
+    grb::LazyVector<uint8_t> frontier(n);
+    frontier.set_element(source, 1);
 
     uint32_t level = 1;
     while (!cancel_requested()) {
@@ -42,19 +54,42 @@ bfs(const grb::Matrix<uint8_t>& A, Index source)
         // out-neighbors of the frontier, filtered to unvisited vertices
         // (visited have a non-zero dist, so the complemented mask keeps
         // only zeros).
-        spmv.dispatch_spmv<grb::LorLand>(frontier, &dist,
-                                         grb::kComplementReplaceDesc,
-                                         frontier);
+        grb::lazy::dispatch_spmv<grb::LorLand>(spmv, frontier, &dist,
+                                               desc, frontier);
 
-        // Second API call: are there new vertices to visit?
+        // Assign the new level to the new frontier. Recorded before the
+        // nvals() check so the planner can fuse it into the SpMV; on
+        // the final round the frontier is empty and it assigns nothing.
+        grb::lazy::assign_scalar(dist, frontier, grb::kDefaultDesc,
+                                 level);
+
+        // Are there new vertices to visit? (forces the round)
         if (frontier.nvals() == 0) {
             break;
         }
-
-        // Third API call: assign the new level to the new frontier.
-        grb::assign_scalar(dist, &frontier, grb::kDefaultDesc, level);
     }
     return dist;
+}
+
+} // namespace
+
+Vector<uint32_t>
+bfs(const grb::Matrix<uint8_t>& A, Index source)
+{
+    // Push-only dispatcher (no transpose registered): every round
+    // resolves to vxm, so this stays the paper's pure-push baseline
+    // while exercising the same dispatch_spmv entry point the
+    // direction-optimizing variants use.
+    grb::SpmvDispatcher<uint8_t> spmv(A);
+    return bfs_rounds(spmv, source, grb::Direction::kAuto);
+}
+
+Vector<uint32_t>
+bfs(const grb::Matrix<uint8_t>& A, const grb::Matrix<uint8_t>& At,
+    Index source, grb::Direction force)
+{
+    grb::SpmvDispatcher<uint8_t> spmv(A, At);
+    return bfs_rounds(spmv, source, force);
 }
 
 std::vector<uint32_t>

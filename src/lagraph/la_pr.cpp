@@ -88,66 +88,11 @@ pagerank_residual(const grb::Matrix<double>& A,
     //   rank_{t+1} = rank_t + damping * At (delta_t ./ deg).
     Vector<double> delta = rank;
 
-    for (unsigned iter = 0;
-         iter < iterations && !cancel_requested(); ++iter) {
-        trace::Span round(trace::Category::kRound, "round", iter);
-        metrics::bump(metrics::kRounds);
-
-        // contrib = delta ./ out_degree.
-        Vector<double> contrib;
-        grb::ewise_mult(contrib, delta, inv_deg,
-                        [](double d, double inv) { return d * inv; });
-
-        // update(i) = damping * sum of in-neighbor contributions.
-        Vector<double> update;
-        grb::mxv<grb::PlusTimes<double>>(update, grb::kDefaultDesc, At,
-                                         contrib);
-        grb::apply(update, update,
-                   [damping](double x) { return damping * x; });
-
-        if (iter == 0) {
-            // rank_1 = base + update: the one non-incremental step.
-            grb::assign_scalar<double, uint8_t>(rank, nullptr,
-                                                grb::kDefaultDesc, base);
-            Vector<double> new_rank;
-            grb::ewise_add(new_rank, rank, update,
-                           [](double a, double b) { return a + b; });
-            // delta_1 = rank_1 - rank_0 = new_rank - 1/n (new_rank is
-            // dense, so delta covers every vertex).
-            grb::apply(delta, new_rank, [n](double x) {
-                return x - 1.0 / static_cast<double>(n);
-            });
-            rank = std::move(new_rank);
-        } else {
-            // rank += update; delta = update (no extra pass: move).
-            grb::ewise_add(rank, rank, update,
-                           [](double a, double b) { return a + b; });
-            delta = std::move(update);
-        }
-    }
-    return to_std(rank, base);
-}
-
-std::vector<double>
-pagerank_residual_lazy(const grb::Matrix<double>& A,
-                       const grb::Matrix<double>& At, double damping,
-                       unsigned iterations)
-{
-    trace::Span algo(trace::Category::kAlgo, "la_pr_lazy");
-    grb::ExecModeScope mode(grb::ExecMode::kNonBlocking);
-    const Index n = A.nrows();
-    const double base = (1.0 - damping) / n;
-    const Vector<double> inv_deg = inverse_out_degrees(A);
-
-    Vector<double> rank(n);
-    rank.fill(1.0 / n);
-    Vector<double> delta = rank;
-
     // Lazy handles, declared after every vector their pending nodes
-    // read (delta, inv_deg): destruction is a flush point. The fusion
-    // planner folds contrib's eWiseMult into update's pull kernel, so
-    // contrib never materializes; update's output buffer is recycled
-    // round over round and rotated with delta by swap_value.
+    // read (delta, inv_deg): destruction is a flush point. In
+    // non-blocking mode the planner folds contrib's eWiseMult into
+    // update's pull kernel, so contrib never gets a fresh allocation,
+    // and update's output buffer is recycled round over round.
     grb::LazyVector<double> contrib(n);
     grb::LazyVector<double> update(n);
 
@@ -156,32 +101,37 @@ pagerank_residual_lazy(const grb::Matrix<double>& A,
         trace::Span round(trace::Category::kRound, "round", iter);
         metrics::bump(metrics::kRounds);
 
-        // The same three logical ops as pagerank_residual; recorded,
-        // fused into a single pull pass, and executed at the
-        // update.value() materialization point below.
+        // contrib = delta ./ out_degree.
         grb::lazy::ewise_mult(contrib, delta, inv_deg,
                               [](double d, double inv) {
                                   return d * inv;
                               });
+        // update(i) = damping * sum of in-neighbor contributions. In
+        // non-blocking mode these three ops run as one pull pass at
+        // the update.value() materialization point below.
         grb::lazy::mxv<grb::PlusTimes<double>>(update, grb::kDefaultDesc,
                                                At, contrib);
         grb::lazy::apply(update,
                          [damping](double x) { return damping * x; });
 
         if (iter == 0) {
+            // rank_1 = base + update: the one non-incremental step.
             grb::assign_scalar<double, uint8_t>(rank, nullptr,
                                                 grb::kDefaultDesc, base);
             Vector<double> new_rank;
             grb::ewise_add(new_rank, rank, update.value(),
                            [](double a, double b) { return a + b; });
+            // delta_1 = rank_1 - rank_0 = new_rank - 1/n (new_rank is
+            // dense, so delta covers every vertex).
             grb::apply(delta, new_rank, [n](double x) {
                 return x - 1.0 / static_cast<double>(n);
             });
             rank = std::move(new_rank);
         } else {
+            // rank += update; delta = update without a copy: exchange
+            // the buffers.
             grb::ewise_add(rank, rank, update.value(),
                            [](double a, double b) { return a + b; });
-            // delta = update without a copy: exchange the buffers.
             update.swap_value(delta);
         }
     }

@@ -20,6 +20,15 @@
  * All functions run on whichever grb backend is active, so the same
  * code serves as "SS" (Reference backend) and "GB" (Parallel backend)
  * in the study.
+ *
+ * bfs, pagerank_residual and sssp_delta are written once against the
+ * grb::lazy recorders (matrix/lazy.h), so the active execution mode
+ * also chooses whether they fuse. In the default blocking mode every
+ * recorded op runs eagerly, one full pass per GraphBLAS call, as the
+ * paper measures LAGraph. Wrapping the same call in
+ * grb::ExecModeScope(grb::ExecMode::kNonBlocking) defers the ops and
+ * lets the planner fuse their chains (the paper's Section VI loop
+ * fusion). The algorithms never set the mode themselves.
  */
 
 #include <cstdint>
@@ -34,12 +43,24 @@ inline constexpr uint32_t kUnreachedLevel = ~uint32_t{0};
 inline constexpr uint64_t kInfDistance = ~uint64_t{0};
 
 /**
- * Level-synchronous bfs (paper Algorithm 2).
+ * Level-synchronous bfs (paper Algorithm 2) over a push-only
+ * dispatcher: every round is a vxm.
  *
  * @return dense vector where the source has value 1, its neighbors 2,
  *         and unreached vertices 0 (the LAGraph convention).
  */
 grb::Vector<uint32_t> bfs(const grb::Matrix<uint8_t>& A, grb::Index source);
+
+/**
+ * The same rounds with the direction chosen per round by
+ * grb::SpmvDispatcher's cost model over @p A and its transpose @p At.
+ * @p force overrides the cost model (the ablation modes). Under
+ * non-blocking mode each round runs as one fused SpMV + assign kernel,
+ * push or pull.
+ */
+grb::Vector<uint32_t> bfs(const grb::Matrix<uint8_t>& A,
+                          const grb::Matrix<uint8_t>& At, grb::Index source,
+                          grb::Direction force = grb::Direction::kAuto);
 
 /// Convert the LAGraph bfs convention (source = 1, unreached = 0) to
 /// hop counts (source = 0, unreached = kUnreachedLevel).
@@ -69,39 +90,6 @@ grb::Vector<uint32_t> bfs_auto(const grb::Matrix<uint8_t>& A,
                                grb::Direction force = grb::Direction::kAuto);
 
 /**
- * bfs built on the fused vxm+assign composite kernel (not expressible
- * in standard GraphBLAS; see grb::vxm_fused_assign). Demonstrates the
- * loop-fusion future work of the paper's Section VI: one kernel call
- * per round instead of three.
- */
-grb::Vector<uint32_t> bfs_fused(const grb::Matrix<uint8_t>& A,
-                                grb::Index source);
-
-/**
- * bfs_fused with the fused round routed through grb::SpmvDispatcher's
- * direction cost model: push rounds run the fused vxm+assign kernel,
- * pull rounds the fused mxv+assign kernel over @p At, and the previous
- * frontier's storage is recycled into the next round's output.
- * @p force overrides the cost model (ablation modes).
- */
-grb::Vector<uint32_t> bfs_fused(const grb::Matrix<uint8_t>& A,
-                                const grb::Matrix<uint8_t>& At,
-                                grb::Index source,
-                                grb::Direction force = grb::Direction::kAuto);
-
-/**
- * bfs written as plain dispatch_spmv + assign_scalar rounds in
- * non-blocking mode: the lazy fusion planner recognizes the chain and
- * builds the same fused kernel bfs_fused() hand-codes. Identical
- * output to bfs_fused(); exists to demonstrate (and test) that the
- * expression layer recovers hand fusion from unfused source.
- */
-grb::Vector<uint32_t> bfs_lazy(const grb::Matrix<uint8_t>& A,
-                               const grb::Matrix<uint8_t>& At,
-                               grb::Index source,
-                               grb::Direction force = grb::Direction::kAuto);
-
-/**
  * Connected components via FastSV. @p A must be a symmetric pattern
  * matrix. @return canonical labels (smallest member id per component).
  */
@@ -122,22 +110,20 @@ std::vector<double> pagerank(const grb::Matrix<double>& A,
                              unsigned iterations);
 
 /// Residual (delta) formulation of pagerank; identical output to
-/// pagerank() but with delta vectors carrying per-round changes.
+/// pagerank() but with delta vectors carrying per-round changes. In
+/// non-blocking mode the per-round eWiseMult is folded into the pull
+/// kernel's operand (the contribution vector never gets a fresh
+/// allocation) and the damping apply rides the same kernel's per-entry
+/// hook; ranks are bitwise identical in both modes.
 std::vector<double> pagerank_residual(const grb::Matrix<double>& A,
                                       const grb::Matrix<double>& At,
                                       double damping, unsigned iterations);
 
-/// pagerank_residual in non-blocking mode: the per-round eWiseMult is
-/// folded into the pull kernel's operand view (the contribution vector
-/// never materializes) and the damping apply rides the same kernel's
-/// per-entry hook. Identical output to pagerank_residual().
-std::vector<double> pagerank_residual_lazy(const grb::Matrix<double>& A,
-                                           const grb::Matrix<double>& At,
-                                           double damping,
-                                           unsigned iterations);
-
 /**
- * Bulk-synchronous delta-stepping sssp.
+ * Bulk-synchronous delta-stepping sssp. In non-blocking mode each
+ * relaxation's eWiseMult + select pair fuses into one kernel (the
+ * improvements vector is subsumed) and SpMV outputs recycle their
+ * buffers across rounds.
  *
  * @param A     weighted adjacency matrix (weights > 0).
  * @param delta bucket width.
@@ -145,13 +131,6 @@ std::vector<double> pagerank_residual_lazy(const grb::Matrix<double>& A,
  */
 std::vector<uint64_t> sssp_delta(const grb::Matrix<uint64_t>& A,
                                  grb::Index source, uint64_t delta);
-
-/// sssp_delta in non-blocking mode: each relaxation's eWiseMult +
-/// select pair fuses into one kernel (the improvements vector is
-/// subsumed) and SpMV outputs recycle their buffers across rounds.
-/// Identical output to sssp_delta().
-std::vector<uint64_t> sssp_delta_lazy(const grb::Matrix<uint64_t>& A,
-                                      grb::Index source, uint64_t delta);
 
 /// Triangle count via SandiaDot on an (optionally pre-sorted) symmetric
 /// pattern matrix: count = reduce(C<L> = L * L'), L = tril(A).

@@ -19,7 +19,8 @@
  *
  *  - dispatch_spmv/mxv + apply        -> per-entry transform hook
  *  - dispatch_spmv/mxv + assign_scalar masked by the SpMV output into
- *    the SpMV's own mask vector       -> fused_spmv_assign shape
+ *    the SpMV's own mask vector       -> assign hook on the SpMV's
+ *                                        survivors (one BFS round)
  *  - eWiseMult/eWiseAdd (dense-dense) + assign_scalar masked by the
  *    result                           -> fused_ewise_assign
  *  - eWiseMult + select_entries       -> fused_ewise_mult_select
@@ -46,10 +47,13 @@
  *    value of its own until it is next overwritten; reading it is a
  *    checked error (GAS_CHECK).
  *
- * In blocking mode the recorders execute the node immediately after
- * attaching it, so the same algorithm source runs either mode and
- * fusion is naturally disabled — this is what the lazy-vs-eager
- * equivalence suite exploits.
+ * In blocking mode (the default) each recorder calls the eager op it
+ * names (SpmvDispatcher::dispatch_spmv, grb::mxv, grb::ewise_mult, ...)
+ * on the handle's value: no node is allocated, no spare buffer is
+ * recycled, and outputs and counters are those of the eager op. An
+ * algorithm is therefore written once against the recorders, and the
+ * caller selects fusion by wrapping the call in
+ * ExecModeScope(ExecMode::kNonBlocking).
  */
 
 #include <atomic>
@@ -339,18 +343,14 @@ class LazyVector : public detail::Flushable
         subsumed_ = false;
     }
 
-    /// Attach a freshly recorded node. Blocking mode executes it on the
-    /// spot, making the recorders behave exactly like the eager ops.
+    /// Attach a freshly recorded (deferred) node. Non-blocking mode
+    /// only: blocking-mode recorders run the eager op instead.
     void
     adopt(std::shared_ptr<detail::LazyNode<T>> node)
     {
         node_ = std::move(node);
         subsumed_ = false;
-        if (exec_mode() == ExecMode::kBlocking) {
-            node_->execute();
-        } else {
-            metrics::bump(metrics::kLazyOpsDeferred);
-        }
+        metrics::bump(metrics::kLazyOpsDeferred);
     }
 
     /// This handle's pending output was fused into @p consumer; keep a
@@ -382,6 +382,11 @@ dispatch_spmv(SpmvDispatcher<T>& dispatcher, LazyVector<T>& w,
               const Vector<T>& u)
 {
     w.prepare_record();
+    if (exec_mode() == ExecMode::kBlocking) {
+        dispatcher.template dispatch_spmv<Semiring>(w.storage(), mask,
+                                                    desc, u);
+        return;
+    }
     auto state = std::make_shared<detail::SpmvState<T>>();
     auto node = std::make_shared<detail::LazyNode<T>>();
     node->spmv_mask_id = static_cast<const void*>(mask);
@@ -490,6 +495,10 @@ mxv(LazyVector<T>& w, const Vector<MT>* mask, const Descriptor& desc,
         u.materialize();
     }
     w.prepare_record();
+    if (exec_mode() == ExecMode::kBlocking) {
+        grb::mxv<Semiring>(w.storage(), mask, desc, A, u.storage());
+        return;
+    }
     auto state = std::make_shared<detail::SpmvState<T>>();
     auto node = std::make_shared<detail::LazyNode<T>>();
     node->spmv_mask_id = static_cast<const void*>(mask);
@@ -690,6 +699,11 @@ void
 ewise_mult(LazyVector<T>& w, const Vector<T>& u, const Vector<T>& v,
            Fn&& fn)
 {
+    if (exec_mode() == ExecMode::kBlocking) {
+        w.prepare_record();
+        grb::ewise_mult(w.storage(), u, v, std::forward<Fn>(fn));
+        return;
+    }
     impl::record_ewise<T>(w, u, v, std::function<T(T, T)>(fn), true);
 }
 
@@ -710,6 +724,11 @@ void
 ewise_add(LazyVector<T>& w, const Vector<T>& u, const Vector<T>& v,
           Fn&& fn)
 {
+    if (exec_mode() == ExecMode::kBlocking) {
+        w.prepare_record();
+        grb::ewise_add(w.storage(), u, v, std::forward<Fn>(fn));
+        return;
+    }
     impl::record_ewise<T>(w, u, v, std::function<T(T, T)>(fn), false);
 }
 
@@ -749,8 +768,8 @@ select_entries(LazyVector<T>& w, LazyVector<T>& u, Pred&& pred)
  * fusable shapes:
  *
  *  - mask is a pending SpMV whose own mask operand *is* target (the
- *    BFS round): the assign is absorbed into the SpMV's per-entry hook
- *    (fused_spmv_assign semantics).
+ *    BFS round): the assign is absorbed into the SpMV's per-entry hook,
+ *    so the round is one dispatch_spmv_fused kernel.
  *  - mask is a pending dense-dense eWise op: the assign rides the
  *    element-wise loop (fused_ewise_assign).
  *

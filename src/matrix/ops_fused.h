@@ -19,15 +19,20 @@
  *  - dispatch_spmv_fused routes the fused SpMV through the
  *    direction-optimizing dispatcher so composite chains get the exact
  *    push/pull pricing, mask-skip, and early-exit behavior of plain
- *    dispatch_spmv instead of regressing to pure push (the historic
- *    vxm_fused_assign bug).
- *  - fused_spmv_assign is the traversal composite (SpMV + masked
- *    scalar assign into the mask vector itself, i.e. one BFS round).
+ *    dispatch_spmv instead of regressing to pure push. With the lazy
+ *    planner's assign hook as its extras it is the traversal composite
+ *    (SpMV + masked scalar assign into the mask vector itself, i.e. one
+ *    BFS round).
  *  - fused_ewise_assign / fused_ewise_mult_select are the element-wise
  *    composites (eWise feeding a masked assign, eWiseMult feeding a
  *    select) with the intermediate vector never materialized.
  *
- * All kernels accept an optional recycle buffer: the output is built
+ * Algorithms never call these kernels by name. They are written once
+ * against the grb::lazy recorders, which run the plain eager ops in
+ * blocking mode; a caller selects these kernels by running the same
+ * algorithm under ExecModeScope(ExecMode::kNonBlocking).
+ *
+ * The SpMV kernels accept an optional recycle buffer: the output is built
  * into the recycled storage and the previous output's storage is handed
  * back, so a round-based algorithm's per-round output stops being a
  * fresh allocation. Combined with Vector's capacity-watermark
@@ -489,77 +494,6 @@ dispatch_spmv_fused(SpmvDispatcher<T>& dispatcher, Vector<T>& w,
     }
     dispatcher.note_executed(dir);
     return dir;
-}
-
-/**
- * The traversal composite: one direction-optimized SpMV plus a masked
- * scalar assign into the assign target, which is also the SpMV's mask.
- * Eager equivalent:
- *
- *   dispatch_spmv<Semiring>(w, &target, desc, u);      // e.g. frontier
- *   assign_scalar(target, &w, kDefaultDesc, value);    // e.g. levels
- *
- * The assign half uses w as a value mask (structural with
- * @p structural_assign), so entries whose emitted value is the scalar
- * zero assign nothing — identical to eager assign_scalar semantics.
- * @p target must be dense (traversal label vectors are).
- */
-template <typename Semiring, typename T, typename MT>
-Direction
-fused_spmv_assign(SpmvDispatcher<T>& dispatcher, Vector<T>& w,
-                  Vector<MT>& target, const Descriptor& desc,
-                  MT assign_value, const Vector<T>& u,
-                  bool structural_assign = false,
-                  Vector<T>* recycle = nullptr)
-{
-    GAS_CHECK(target.format() == VectorFormat::kDense,
-              "fused_spmv_assign requires a dense assign target");
-    auto& tvals = target.dense_values();
-    auto& tpresent = target.dense_presence();
-    std::atomic<Nnz> added{0};
-    auto extras = [&](Index j, T& v) {
-        if (!structural_assign && v == T{0}) {
-            return;
-        }
-        if (tpresent[j] == 0) {
-            tpresent[j] = 1;
-            added.fetch_add(1, std::memory_order_relaxed);
-        }
-        tvals[j] = assign_value;
-        metrics::bump(metrics::kLabelWrites);
-        metrics::bump(metrics::kWorkItems);
-    };
-    const Direction dir = dispatch_spmv_fused<Semiring>(
-        dispatcher, w, &target, desc, u, extras, recycle);
-    target.set_dense_nvals(target.nvals() + added.load());
-    return dir;
-}
-
-/**
- * Backward-compatible fused BFS-style step:
- *
- *   w           = u * A, masked to columns with no entry in
- *                 assign_target (complement mask, replace)
- *   assign_target(j) = assign_value wherever w emitted a non-zero
- *
- * Historic entry point kept for callers that own only the forward
- * matrix. Two fixes over the original ad-hoc kernel: the mask test is
- * the shared descriptor-driven predicate (kComplementReplaceDesc)
- * instead of a hand-rolled complement probe, and execution routes
- * through a dispatcher so the counters and hysteresis behave like
- * every other SpMV. With no transpose registered this still always
- * pushes; pass a dispatcher to fused_spmv_assign to direction-optimize.
- */
-template <typename Semiring, typename T, typename MT>
-void
-vxm_fused_assign(Vector<T>& w, Vector<MT>& assign_target, MT assign_value,
-                 const Vector<T>& u, const Matrix<T>& A)
-{
-    trace::Span span(trace::Category::kGrb, "vxm_fused_assign",
-                     u.nvals());
-    SpmvDispatcher<T> push_only(A);
-    fused_spmv_assign<Semiring>(push_only, w, assign_target,
-                                kComplementReplaceDesc, assign_value, u);
 }
 
 /**

@@ -196,7 +196,7 @@ Histogram*
 classify_grb(const char* name)
 {
     static constexpr const char* kPushNames[] = {
-        "vxm", "vxm_fused", "vxm_fused_assign"};
+        "vxm", "vxm_fused"};
     static constexpr const char* kPullNames[] = {
         "mxv", "mxv_sparse", "mxv_fused"};
     for (const char* push : kPushNames) {

@@ -167,17 +167,35 @@ TEST(Chaos, LonestarKtrussSurvivesAllSeeds)
     }
 }
 
+/// The matrix-API runs cover both execution modes: the LAGraph bodies
+/// written against the lazy recorders run eagerly in blocking mode and
+/// through the fusion planner's kernels in non-blocking mode.
+constexpr grb::ExecMode kModes[] = {grb::ExecMode::kBlocking,
+                                    grb::ExecMode::kNonBlocking};
+
+const char*
+mode_label(grb::ExecMode mode, const char* blocking,
+           const char* nonblocking)
+{
+    return mode == grb::ExecMode::kBlocking ? blocking : nonblocking;
+}
+
 TEST(Chaos, GrbBfsSurvivesAllSeeds)
 {
     const auto& g = ChaosGraphs::instance();
     const auto oracle = verify::bfs_levels(g.directed, 0);
     const auto A = grb::Matrix<uint8_t>::from_graph(g.directed, false);
-    for (const uint64_t seed : kSeeds) {
-        std::vector<uint32_t> levels;
-        chaos_run(
-            "la_bfs", seed,
-            [&] { levels = la::bfs_levels_from(la::bfs(A, 0)); },
-            [&] { EXPECT_EQ(levels, oracle) << seed; });
+    for (const grb::ExecMode mode : kModes) {
+        for (const uint64_t seed : kSeeds) {
+            std::vector<uint32_t> levels;
+            chaos_run(
+                mode_label(mode, "la_bfs", "la_bfs_nonblocking"), seed,
+                [&] {
+                    grb::ExecModeScope scope(mode);
+                    levels = la::bfs_levels_from(la::bfs(A, 0));
+                },
+                [&] { EXPECT_EQ(levels, oracle) << seed; });
+        }
     }
 }
 
@@ -187,17 +205,33 @@ TEST(Chaos, GrbPrSurvivesAllSeeds)
     const auto oracle = verify::pagerank(g.directed, 0.85, 10);
     const auto A = grb::Matrix<double>::from_graph(g.directed, false);
     const auto At = A.transpose();
+    const auto check = [&](const std::vector<double>& ranks,
+                           uint64_t seed) {
+        ASSERT_EQ(ranks.size(), oracle.size()) << seed;
+        for (std::size_t i = 0; i < ranks.size(); ++i) {
+            EXPECT_NEAR(ranks[i], oracle[i], 1e-8) << seed;
+        }
+    };
     for (const uint64_t seed : kSeeds) {
         std::vector<double> ranks;
         chaos_run(
             "la_pr", seed,
             [&] { ranks = la::pagerank(A, At, 0.85, 10); },
-            [&] {
-                ASSERT_EQ(ranks.size(), oracle.size()) << seed;
-                for (std::size_t i = 0; i < ranks.size(); ++i) {
-                    EXPECT_NEAR(ranks[i], oracle[i], 1e-8) << seed;
-                }
-            });
+            [&] { check(ranks, seed); });
+    }
+    for (const grb::ExecMode mode : kModes) {
+        for (const uint64_t seed : kSeeds) {
+            std::vector<double> ranks;
+            chaos_run(
+                mode_label(mode, "la_pr_residual",
+                           "la_pr_residual_nonblocking"),
+                seed,
+                [&] {
+                    grb::ExecModeScope scope(mode);
+                    ranks = la::pagerank_residual(A, At, 0.85, 10);
+                },
+                [&] { check(ranks, seed); });
+        }
     }
 }
 
@@ -206,34 +240,17 @@ TEST(Chaos, GrbSsspSurvivesAllSeeds)
     const auto& g = ChaosGraphs::instance();
     const auto oracle = verify::dijkstra(g.directed, 0);
     const auto A = grb::Matrix<uint64_t>::from_graph(g.directed, true);
-    for (const uint64_t seed : kSeeds) {
-        std::vector<uint64_t> dist;
-        chaos_run(
-            "la_sssp", seed,
-            [&] { dist = la::sssp_delta(A, 0, 64); },
-            [&] { EXPECT_EQ(dist, oracle) << seed; });
-    }
-}
-
-TEST(Chaos, LazyModeSurvivesFaults)
-{
-    const auto& g = ChaosGraphs::instance();
-    const auto oracle = verify::pagerank(g.directed, 0.85, 10);
-    const auto A = grb::Matrix<double>::from_graph(g.directed, false);
-    const auto At = A.transpose();
-    for (const uint64_t seed : kSeeds) {
-        std::vector<double> ranks;
-        chaos_run(
-            "la_pr_lazy", seed,
-            [&] {
-                ranks = la::pagerank_residual_lazy(A, At, 0.85, 10);
-            },
-            [&] {
-                ASSERT_EQ(ranks.size(), oracle.size()) << seed;
-                for (std::size_t i = 0; i < ranks.size(); ++i) {
-                    EXPECT_NEAR(ranks[i], oracle[i], 1e-8) << seed;
-                }
-            });
+    for (const grb::ExecMode mode : kModes) {
+        for (const uint64_t seed : kSeeds) {
+            std::vector<uint64_t> dist;
+            chaos_run(
+                mode_label(mode, "la_sssp", "la_sssp_nonblocking"), seed,
+                [&] {
+                    grb::ExecModeScope scope(mode);
+                    dist = la::sssp_delta(A, 0, 64);
+                },
+                [&] { EXPECT_EQ(dist, oracle) << seed; });
+        }
     }
 }
 

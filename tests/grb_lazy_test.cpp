@@ -12,9 +12,10 @@
  * forced push/pull directions, the planner's eager-fallback shapes,
  * blocking-mode recording, every materialization point, the
  * replace-descriptor assign semantics the fused path exposed, the
- * buffer-recycling byte savings, the rewired algorithms
- * (bfs_lazy / pagerank_residual_lazy / sssp_delta_lazy), and the trace
- * attribution invariant over a lazy run.
+ * buffer-recycling byte savings, the algorithms written once against
+ * the recorders (bfs / pagerank_residual / sssp_delta, run in both
+ * execution modes), and the trace attribution invariant over a lazy
+ * run.
  */
 
 #include <gtest/gtest.h>
@@ -412,28 +413,123 @@ TEST_P(GrbLazyTest, UnfusableShapesFallBackAndStayCorrect)
 
 // ---- blocking-mode recording equals the eager ops ----
 
+/// Counters of one call of @p fn, minus the schedule fuzzer's own
+/// perturbation count (random by design in GAS_CHECK builds; always 0
+/// otherwise): everything the op itself does must match.
+template <typename Fn>
+metrics::Snapshot
+op_counters(Fn&& fn)
+{
+    const metrics::Interval interval;
+    fn();
+    metrics::Snapshot delta = interval.delta();
+    delta.values[metrics::kFuzzPerturbations] = 0;
+    return delta;
+}
+
 TEST_P(GrbLazyTest, BlockingModeExecutesImmediately)
 {
     const Index n = 24;
     const auto A = random_matrix<uint8_t>(n, 0.2, 81);
-    const auto u = random_vector<uint8_t>(n, 0.3, 82, false);
+    const auto At = A.transpose();
+    const auto u8 = random_vector<uint8_t>(n, 0.3, 82, false);
+    const auto Ad = random_matrix<uint64_t>(n, 0.2, 83);
+    const auto ud = random_vector<uint64_t>(n, 1.0, 84, true);
+    const auto vd = random_vector<uint64_t>(n, 0.6, 85, true);
+    const auto us = random_vector<uint64_t>(n, 0.3, 86, false);
+    const auto add = [](uint64_t a, uint64_t b) { return a + b; };
+    const auto keep_odd = [](Index, uint64_t x) { return x % 2 == 1; };
 
     ASSERT_EQ(exec_mode(), ExecMode::kBlocking);
-    const metrics::Interval interval;
+    const metrics::Interval whole;
+
+    // Every recorder runs kCalls times into the same handle: a
+    // recycled spare buffer would show up as a counter difference (a
+    // later round's output reusing an earlier round's capacity charges
+    // fewer bytes than the eager op). The dispatchers carry a
+    // transpose, so the cost model may pick pull as well as push. One
+    // unmeasured eager call per op comes first: it pays the one-time
+    // SPA workspace and tuned-storage charges that would otherwise
+    // land on whichever side ran first.
+    constexpr int kCalls = 3;
     Vector<uint32_t> dist(n);
     dist.fill(2);
-    SpmvDispatcher<uint8_t> d(A);
-    LazyVector<uint8_t> w(n);
-    lazy::dispatch_spmv<LorLand>(d, w, &dist, kDefaultDesc, u);
-    EXPECT_FALSE(w.pending()) << "blocking mode must execute on record";
-    EXPECT_EQ(interval.delta()[metrics::kLazyOpsDeferred], 0u);
-
+    SpmvDispatcher<uint8_t> de(A, At);
+    SpmvDispatcher<uint8_t> dl(A, At);
     Vector<uint8_t> w_e;
-    SpmvDispatcher<uint8_t> d2(A);
-    Vector<uint32_t> dist_e(n);
-    dist_e.fill(2);
-    d2.dispatch_spmv<LorLand>(w_e, &dist_e, kDefaultDesc, u);
-    EXPECT_EQ(to_model(w_e), to_model(w.value()));
+    LazyVector<uint8_t> w_l(n);
+    SpmvDispatcher<uint8_t>(A, At).dispatch_spmv<LorLand>(
+        w_e, &dist, kDefaultDesc, u8);
+    for (int round = 0; round < kCalls; ++round) {
+        const auto eager = op_counters([&] {
+            de.dispatch_spmv<LorLand>(w_e, &dist, kDefaultDesc, u8);
+        });
+        const auto lazy_run = op_counters([&] {
+            lazy::dispatch_spmv<LorLand>(dl, w_l, &dist, kDefaultDesc, u8);
+        });
+        EXPECT_FALSE(w_l.pending()) << "blocking mode must execute on record";
+        EXPECT_EQ(eager.to_string(), lazy_run.to_string())
+            << "dispatch_spmv round " << round;
+        EXPECT_EQ(to_model(w_e), to_model(w_l.value()));
+    }
+
+    // mxv, with a sparse operand (the eager op reads it in place).
+    Vector<uint64_t> m_e;
+    LazyVector<uint64_t> m_l(n);
+    LazyVector<uint64_t> m_u(us);
+    grb::mxv<PlusTimes<uint64_t>>(m_e, kDefaultDesc, Ad, us);
+    for (int round = 0; round < kCalls; ++round) {
+        const auto eager = op_counters([&] {
+            grb::mxv<PlusTimes<uint64_t>>(m_e, kDefaultDesc, Ad, us);
+        });
+        const auto lazy_run = op_counters([&] {
+            lazy::mxv<PlusTimes<uint64_t>>(m_l, kDefaultDesc, Ad, m_u);
+        });
+        EXPECT_EQ(eager.to_string(), lazy_run.to_string())
+            << "mxv round " << round;
+        EXPECT_EQ(to_model(m_e), to_model(m_l.value()));
+    }
+
+    // The element-wise ops and select.
+    Vector<uint64_t> x_e;
+    Vector<uint64_t> a_e;
+    Vector<uint64_t> s_e;
+    LazyVector<uint64_t> x_l(n);
+    LazyVector<uint64_t> a_l(n);
+    LazyVector<uint64_t> s_l(n);
+    for (int round = 0; round < kCalls; ++round) {
+        auto eager = op_counters([&] { grb::ewise_mult(x_e, ud, vd, add); });
+        auto lazy_run =
+            op_counters([&] { lazy::ewise_mult(x_l, ud, vd, add); });
+        EXPECT_EQ(eager.to_string(), lazy_run.to_string())
+            << "ewise_mult round " << round;
+        EXPECT_EQ(to_model(x_e), to_model(x_l.value()));
+
+        eager = op_counters([&] { grb::ewise_add(a_e, us, vd, add); });
+        lazy_run = op_counters([&] { lazy::ewise_add(a_l, us, vd, add); });
+        EXPECT_EQ(eager.to_string(), lazy_run.to_string())
+            << "ewise_add round " << round;
+        EXPECT_EQ(to_model(a_e), to_model(a_l.value()));
+
+        // select over the product just recorded: in non-blocking mode
+        // this pair would fuse; blocking must run the two eager ops.
+        eager = op_counters([&] {
+            grb::ewise_mult(x_e, ud, vd, add);
+            grb::select_entries(s_e, x_e, keep_odd);
+        });
+        lazy_run = op_counters([&] {
+            lazy::ewise_mult(x_l, ud, vd, add);
+            lazy::select_entries(s_l, x_l, keep_odd);
+        });
+        EXPECT_EQ(eager.to_string(), lazy_run.to_string())
+            << "ewise_mult + select_entries round " << round;
+        EXPECT_EQ(to_model(s_e), to_model(s_l.value()));
+    }
+
+    const auto totals = whole.delta();
+    EXPECT_EQ(totals[metrics::kLazyOpsDeferred], 0u);
+    EXPECT_EQ(totals[metrics::kFusedChains], 0u);
+    EXPECT_EQ(totals[metrics::kLazyFallbacks], 0u);
 }
 
 // ---- materialization points ----
@@ -544,15 +640,24 @@ TEST_P(GrbLazyTest, AssignReplaceClearsOutsideMaskEntries)
                                {5, 5}}));
 }
 
-// ---- buffer recycling: lazy/fused runs materialize fewer bytes ----
+// ---- buffer recycling: non-blocking runs materialize fewer bytes ----
 
-TEST_P(GrbLazyTest, FusedAndLazyBfsMaterializeFewerBytes)
+/// Run @p fn under non-blocking mode (the caller-side fusion switch).
+template <typename Fn>
+auto
+nonblocking(Fn&& fn)
+{
+    ExecModeScope mode(ExecMode::kNonBlocking);
+    return fn();
+}
+
+TEST_P(GrbLazyTest, NonBlockingBfsMaterializesFewerBytes)
 {
     const Index n = 256;
     const auto A = random_matrix<uint8_t>(n, 0.02, 101);
     const auto At = A.transpose();
 
-    const auto bytes_of = [&](auto&& fn) {
+    const auto counters_of = [&](auto&& fn) {
         const metrics::Interval interval;
         fn();
         return interval.delta();
@@ -561,48 +666,51 @@ TEST_P(GrbLazyTest, FusedAndLazyBfsMaterializeFewerBytes)
     // push-only eager bfs: the savings measured here are fusion +
     // buffer recycling alone, not direction choice (auto mode may buy
     // pull rounds whose dense frontiers cost bytes to save time).
-    const auto eager = bytes_of([&] { la::bfs(A, 0); });
-    const auto fused = bytes_of(
-        [&] { la::bfs_fused(A, At, 0, Direction::kPush); });
-    const auto lazy_run = bytes_of(
-        [&] { la::bfs_lazy(A, At, 0, Direction::kPush); });
+    const auto eager = counters_of([&] { la::bfs(A, 0); });
+    const auto lazy_run = counters_of([&] {
+        nonblocking([&] { return la::bfs(A, At, 0, Direction::kPush); });
+    });
+    const auto lazy_push_only =
+        counters_of([&] { nonblocking([&] { return la::bfs(A, 0); }); });
 
-    EXPECT_LT(fused[metrics::kBytesMaterialized],
-              eager[metrics::kBytesMaterialized]);
     EXPECT_LT(lazy_run[metrics::kBytesMaterialized],
               eager[metrics::kBytesMaterialized]);
+    EXPECT_LT(lazy_run[metrics::kPasses], eager[metrics::kPasses]);
     EXPECT_GT(lazy_run[metrics::kFusedChains], 0u);
     EXPECT_GT(lazy_run[metrics::kLazyOpsDeferred], 0u);
+    // A forced-push dispatcher and a push-only one run the same rounds.
+    EXPECT_EQ(lazy_push_only.to_string(), lazy_run.to_string());
 }
 
-// ---- rewired algorithms match their eager counterparts ----
+// ---- one algorithm body, both execution modes ----
 
-TEST_P(GrbLazyTest, BfsLazyMatchesEagerVariants)
+TEST_P(GrbLazyTest, BfsMatchesAcrossExecModes)
 {
     const Index n = 200;
     const auto A = random_matrix<uint8_t>(n, 0.03, 111);
     const auto At = A.transpose();
 
-    const auto base = la::bfs(A, 0);
-    const auto fused_old = la::bfs_fused(A, 0);
-    const auto fused = la::bfs_fused(A, At, 0);
-    const auto lazy_run = la::bfs_lazy(A, At, 0);
-    EXPECT_EQ(to_model(base), to_model(fused_old));
-    EXPECT_EQ(to_model(base), to_model(fused));
-    EXPECT_EQ(to_model(base), to_model(lazy_run));
+    const auto base = to_model(la::bfs(A, 0));
+    EXPECT_EQ(base, to_model(nonblocking([&] { return la::bfs(A, 0); })));
 
     // Forced directions must not change the result either.
-    EXPECT_EQ(to_model(base),
-              to_model(la::bfs_fused(A, At, 0, Direction::kPush)));
-    EXPECT_EQ(to_model(base),
-              to_model(la::bfs_fused(A, At, 0, Direction::kPull)));
-    EXPECT_EQ(to_model(base),
-              to_model(la::bfs_lazy(A, At, 0, Direction::kPush)));
-    EXPECT_EQ(to_model(base),
-              to_model(la::bfs_lazy(A, At, 0, Direction::kPull)));
+    for (const Direction dir :
+         {Direction::kAuto, Direction::kPush, Direction::kPull}) {
+        EXPECT_EQ(base, to_model(la::bfs(A, At, 0, dir)));
+        EXPECT_EQ(base, to_model(nonblocking(
+                            [&] { return la::bfs(A, At, 0, dir); })));
+    }
+
+    // Blocking mode records nothing: the recorders are the eager ops.
+    const metrics::Interval interval;
+    la::bfs(A, At, 0);
+    const auto blocking = interval.delta();
+    EXPECT_EQ(blocking[metrics::kLazyOpsDeferred], 0u);
+    EXPECT_EQ(blocking[metrics::kFusedChains], 0u);
+    EXPECT_EQ(blocking[metrics::kLazyFallbacks], 0u);
 }
 
-TEST_P(GrbLazyTest, PagerankResidualLazyIsBitwiseIdentical)
+TEST_P(GrbLazyTest, PagerankResidualIsBitwiseIdenticalAcrossExecModes)
 {
     const Index n = 120;
     const auto A = random_matrix<double>(n, 0.05, 121);
@@ -610,7 +718,8 @@ TEST_P(GrbLazyTest, PagerankResidualLazyIsBitwiseIdentical)
 
     const auto eager = la::pagerank_residual(A, At, 0.85, 10);
     const metrics::Interval interval;
-    const auto lazy_run = la::pagerank_residual_lazy(A, At, 0.85, 10);
+    const auto lazy_run = nonblocking(
+        [&] { return la::pagerank_residual(A, At, 0.85, 10); });
     EXPECT_GT(interval.delta()[metrics::kFusedChains], 0u);
 
     ASSERT_EQ(eager.size(), lazy_run.size());
@@ -621,14 +730,15 @@ TEST_P(GrbLazyTest, PagerankResidualLazyIsBitwiseIdentical)
     }
 }
 
-TEST_P(GrbLazyTest, SsspDeltaLazyMatchesEager)
+TEST_P(GrbLazyTest, SsspDeltaMatchesAcrossExecModes)
 {
     const Index n = 150;
     const auto A = random_matrix<uint64_t>(n, 0.04, 131);
 
     const auto eager = la::sssp_delta(A, 0, 4);
     const metrics::Interval interval;
-    const auto lazy_run = la::sssp_delta_lazy(A, 0, 4);
+    const auto lazy_run =
+        nonblocking([&] { return la::sssp_delta(A, 0, 4); });
     EXPECT_GT(interval.delta()[metrics::kFusedChains], 0u);
     EXPECT_EQ(eager, lazy_run);
 }
@@ -646,7 +756,7 @@ TEST_P(GrbLazyTest, LazyRunCountersReconcileWithSpanSelfDeltas)
     trace::reset();
     metrics::reset();
     const metrics::Interval interval;
-    la::bfs_lazy(A, At, 0);
+    nonblocking([&] { return la::bfs(A, At, 0); });
     const auto totals = interval.delta();
     const auto data = trace::snapshot();
     trace::set_enabled(false);

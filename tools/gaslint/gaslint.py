@@ -45,6 +45,12 @@ finding's line or the line above):
                             defeat inlining on per-edge paths. The
                             record-time planner (lazy.h,
                             lazy_registry.*) is exempt.
+  gas-exec-mode-in-algorithm
+                            ExecModeScope / set_exec_mode / exec_mode()
+                            in src/lagraph/ or src/lonestar/. An
+                            algorithm is written once; only its caller
+                            chooses blocking or non-blocking (fused)
+                            execution.
   gas-unregistered-metric   stats::histogram("...") / stats::gauge("...")
                             with a name literal that is not declared in
                             src/stats/registry.h; every series must be
@@ -403,11 +409,14 @@ def find_loops(tokens):
     return loops
 
 
-def check_missing_cancel_poll(path, lexed, ctx, findings):
+def in_algorithm_dir(path):
     posix = str(path).replace("\\", "/")
-    if not ctx.path_filter_off and not (
-            "/lagraph/" in posix or "/lonestar/" in posix
-            or posix.startswith(("src/lagraph/", "src/lonestar/"))):
+    return ("/lagraph/" in posix or "/lonestar/" in posix
+            or posix.startswith(("src/lagraph/", "src/lonestar/")))
+
+
+def check_missing_cancel_poll(path, lexed, ctx, findings):
+    if not ctx.path_filter_off and not in_algorithm_dir(path):
         return
     tokens = lexed.tokens
     loops = find_loops(tokens)
@@ -689,6 +698,35 @@ def check_std_function_in_kernel(path, lexed, ctx, findings):
 
 
 # ---------------------------------------------------------------------------
+# gas-exec-mode-in-algorithm
+# ---------------------------------------------------------------------------
+
+EXEC_MODE_CALLS = {"set_exec_mode", "exec_mode"}
+
+
+def check_exec_mode_in_algorithm(path, lexed, ctx, findings):
+    """An algorithm that reads or sets the execution mode. The lazy
+    recorders already run eagerly in blocking mode and defer/fuse in
+    non-blocking mode, so one body serves both; a mode switch or a mode
+    branch inside it would fork that body again.
+    """
+    if not ctx.path_filter_off and not in_algorithm_dir(path):
+        return
+    tokens = lexed.tokens
+    for i, t in enumerate(tokens):
+        if t.kind != "id":
+            continue
+        called = (t.text in EXEC_MODE_CALLS and i + 1 < len(tokens)
+                  and tokens[i + 1].text == "(")
+        if t.text == "ExecModeScope" or called:
+            findings.append(Finding(
+                "gas-exec-mode-in-algorithm", path, t.line,
+                f"{t.text} inside an algorithm; write the body once "
+                "against the grb::lazy recorders and let the caller "
+                "choose the mode with grb::ExecModeScope"))
+
+
+# ---------------------------------------------------------------------------
 # gas-unregistered-metric
 # ---------------------------------------------------------------------------
 
@@ -762,6 +800,7 @@ CHECKS = {
     "gas-ref-capture-in-parallel": check_ref_capture_in_parallel,
     "gas-raw-accessor-in-parallel": check_raw_accessor_in_parallel,
     "gas-std-function-in-kernel": check_std_function_in_kernel,
+    "gas-exec-mode-in-algorithm": check_exec_mode_in_algorithm,
     "gas-unregistered-metric": check_unregistered_metric,
 }
 

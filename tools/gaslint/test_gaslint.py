@@ -25,6 +25,7 @@ CASES = {
     "ref_capture": "gas-ref-capture-in-parallel",
     "raw_accessor": "gas-raw-accessor-in-parallel",
     "std_function_kernel": "gas-std-function-in-kernel",
+    "exec_mode": "gas-exec-mode-in-algorithm",
     "unregistered_metric": "gas-unregistered-metric",
     # Suppression comments must silence an otherwise-positive file.
     "suppressed": "gas-raw-getenv",
